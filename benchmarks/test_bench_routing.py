@@ -10,8 +10,8 @@ dense ``int64`` gathers and one stable argsort
 This micro-benchmark times one routing round — global→local translation of
 every destination plus bucketing of a 100k-row message block across 8
 workers — through both implementations and asserts the columnar path wins by
-at least 5x (typical local runs show 20-60x; the margin exists so a loaded CI
-runner cannot flake the build).
+at least 5x (reruns on a 2-core box measured 4.6–6.0x, so on small runners
+the floor sits inside the measured range).
 """
 
 import time

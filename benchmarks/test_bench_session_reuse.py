@@ -2,10 +2,10 @@
 
 The serving argument for :class:`InferenceSession`: ``prepare()`` runs table
 ingest, the strategy plan, the shadow rewrite and the backend layout (Pregel
-partitioning) once, so N repeated ``infer()`` calls skip all of it, while N×
-one-shot ``InferTurbo.run()`` pays it every time — the scenario here feeds
-both paths the same warehouse ``(NodeTable, EdgeTable)`` pair, which the old
-API re-ingested per call.
+partitioning) once, so N repeated ``infer()`` calls skip all of it, while N
+one-shot runs (a fresh session, ``prepare()`` and ``infer()`` each) pay it
+every time — the scenario here feeds both paths the same warehouse
+``(NodeTable, EdgeTable)`` pair, which every one-shot run re-ingests.
 
 Two guarantees are asserted:
 
@@ -16,7 +16,6 @@ Two guarantees are asserted:
 """
 
 import time
-import warnings
 
 import numpy as np
 import pytest
@@ -24,12 +23,7 @@ import pytest
 from repro.gnn.model import build_model
 from repro.graph.generators import powerlaw_graph
 from repro.graph.tables import graph_to_tables
-from repro.inference import (
-    InferenceConfig,
-    InferenceSession,
-    InferTurbo,
-    StrategyConfig,
-)
+from repro.inference import InferenceConfig, InferenceSession, StrategyConfig
 
 REPEATS = 8
 TIMING_ROUNDS = 2   # best-of to damp scheduler noise on shared CI runners
@@ -72,10 +66,10 @@ def workload():
 
 def _run_oneshot(tables, model):
     scores = None
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        for _ in range(REPEATS):
-            scores = InferTurbo(model, _config()).run(tables).scores
+    for _ in range(REPEATS):
+        session = InferenceSession(model, _config())
+        session.prepare(tables)
+        scores = session.infer().scores
     return scores
 
 
@@ -116,7 +110,7 @@ def test_bench_session_reuse(benchmark, workload):
     np.testing.assert_array_equal(oneshot_scores, session_scores)
     speedup = oneshot_seconds / session_seconds
     print()
-    print(f"{REPEATS}x InferTurbo.run(tables):            {oneshot_seconds:.3f}s "
+    print(f"{REPEATS}x fresh prepare(tables) + infer(): {oneshot_seconds:.3f}s "
           f"({REPEATS} ingests + {REPEATS} plans)")
     print(f"prepare(tables) + {REPEATS}x session.infer(): {session_seconds:.3f}s "
           f"(1 ingest + 1 plan)")

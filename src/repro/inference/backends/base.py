@@ -72,11 +72,12 @@ class ExecutionPlan:
     #: mutation instead of serving stale scores.
     fingerprint: Optional[Tuple[int, int, int]] = None
     #: set by the session the first time a delta lands on (or is deferred
-    #: against) this plan.  Backends gate their incremental state caches on it
-    #: (``config.incremental_state_cache and plan.delta_seen``), so sessions
-    #: that never see a delta keep pre-delta peak memory; the price is that
-    #: the first post-delta incremental request falls back to one full run,
-    #: which primes the cache.
+    #: against) this plan.  Backends gate their incremental state caches on
+    #: it — the pregel backend caches every superstep's node states, the
+    #: mapreduce backend its last full score matrix — so sessions that never
+    #: see a delta keep pre-delta peak memory; the price is that the first
+    #: post-delta incremental request falls back to one full run, which
+    #: primes the cache.
     delta_seen: bool = False
 
     @property

@@ -91,7 +91,7 @@ class MapReduceBackend:
         # the session has seen a delta (mirrors the pregel state cache — the
         # first post-delta incremental request falls back to this full run,
         # which primes it).
-        if plan.config.incremental_state_cache and plan.delta_seen:
+        if plan.delta_seen:
             plan.state["scores"] = outputs["scores"].copy()
         else:
             plan.state.pop("scores", None)
@@ -168,8 +168,6 @@ class MapReduceBackend:
         outside the delta's reach stay exact, so splicing remains valid after
         an in-place edge delta.
         """
-        if not plan.config.incremental_state_cache:
-            return None
         cached_scores = plan.state.get("scores")
         input_records = plan.state.get("input_records")
         if cached_scores is None or input_records is None:

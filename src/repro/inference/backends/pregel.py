@@ -62,11 +62,10 @@ class PregelBackend:
         # seen a delta (plan.delta_seen) — sessions serving an immutable
         # graph keep pre-delta peak memory.  The first post-delta incremental
         # request then falls back to one full run, which primes the cache.
-        cache = plan.config.incremental_state_cache and plan.delta_seen
         return run_pregel_inference(plan.model, plan.graph, plan.config,
                                     plan.strategy_plan, plan.shadow_plan, metrics,
                                     engine=plan.state.get("engine"),
-                                    cache_states=cache)
+                                    cache_states=plan.delta_seen)
 
     # ------------------------------------------------------------------ #
     # optional delta hooks

@@ -1,6 +1,6 @@
 """Serving-oriented inference sessions: plan once, infer many.
 
-:class:`InferenceSession` splits the old monolithic ``InferTurbo.run()`` into
+:class:`InferenceSession` splits one inference job into
 
 * :meth:`~InferenceSession.prepare` — table ingest, strategy planning, the
   shadow-node graph rewrite and the backend's partition/ingest work, computed
@@ -182,9 +182,9 @@ class InferenceSession:
         # ordering and fails the run if a refactor ever closes a cycle.
         self._exec_lock = tracked_rlock("InferenceSession._exec_lock")
         self._mutate_lock = tracked_rlock("InferenceSession._mutate_lock")
-        # True while a batch holds the staleness check it already performed,
+        # True while a batch holds the fingerprint check it already performed,
         # so infer_many() fingerprints the graph once, not once per run.
-        self._staleness_checked = False
+        self._batch_fingerprint_ok = False
         # Only the latest result plus running totals are retained, so a
         # long-lived serving session does not accumulate score matrices.
         self._last_result: Optional[InferenceResult] = None
@@ -311,14 +311,14 @@ class InferenceSession:
         The fingerprint covers edge arrays and feature buffers; it is updated
         by :meth:`prepare` and :meth:`apply_delta`, so any mismatch means an
         out-of-band in-place mutation the plan cannot know about.  ``force``
-        ignores ``config.staleness_check``: :meth:`apply_delta` must never
-        launder a foreign mutation into a fresh fingerprint, even when the
-        per-``infer()`` hot-path check is switched off.
+        ignores the check an :meth:`infer_many` batch already performed:
+        :meth:`apply_delta` must never launder a foreign mutation into a fresh
+        fingerprint.
         """
         plan = self._plan
         if plan is None or plan.fingerprint is None:
             return
-        if not force and (not self.config.staleness_check or self._staleness_checked):
+        if not force and self._batch_fingerprint_ok:
             return
         if graph_fingerprint(plan.graph) != plan.fingerprint:
             raise StalePlanError(
@@ -508,10 +508,10 @@ class InferenceSession:
         incremental hook or no warm state cache yet.  The per-superstep state
         cache incremental runs splice into is **lazy**: it only starts filling
         once the session has seen a delta (see
-        :attr:`InferenceConfig.incremental_state_cache`), so the first
-        post-delta incremental request is served by one full run that primes
-        it.  Deltas buffered with ``apply_delta(..., defer=True)`` are flushed
-        (one merged application) before the run.
+        :attr:`~repro.inference.backends.base.ExecutionPlan.delta_seen`), so
+        the first post-delta incremental request is served by one full run
+        that primes it.  Deltas buffered with ``apply_delta(..., defer=True)``
+        are flushed (one merged application) before the run.
         ``check_memory=True`` makes the cost model raise
         :class:`~repro.cluster.resources.OutOfMemoryError` if any simulated
         instance exceeds its memory budget.
@@ -584,11 +584,11 @@ class InferenceSession:
         # One staleness check covers the whole single-threaded batch: nothing
         # between iterations can mutate the graph.
         self._check_staleness()
-        self._staleness_checked = self.is_prepared
+        self._batch_fingerprint_ok = self.is_prepared
         try:
             return [self.infer(check_memory=check_memory) for _ in range(int(n))]
         finally:
-            self._staleness_checked = False
+            self._batch_fingerprint_ok = False
 
     # ------------------------------------------------------------------ #
     def report(self) -> RunReport:

@@ -8,7 +8,7 @@ import pytest
 from repro.batch.mapreduce import TaskContext
 from repro.gnn.model import build_model
 from repro.graph.generators import labeled_community_graph, star_graph
-from repro.inference.config import InferenceConfig, StrategyConfig
+from repro.inference import InferenceConfig, InferenceSession, StrategyConfig
 from repro.inference.mapreduce_adaptor import GNNRoundJob, _combine_messages, _partition_fn
 from repro.inference.pregel_adaptor import GNNInferenceProgram
 from repro.inference.strategies import build_strategy_plan
@@ -148,15 +148,13 @@ class TestPregelProgram:
         sends a reference-compressed block (far fewer payload bytes than rows)."""
         star = star_graph(200, direction="out", seed=0)
         model = build_model("sage", star.feature_dim, 8, 2, num_layers=2, seed=0)
-        from repro.inference import InferTurbo
-
-        base = InferTurbo(model, InferenceConfig(
+        base = InferenceSession(model, InferenceConfig(
             backend="pregel", num_workers=4,
-            strategies=StrategyConfig(partial_gather=False))).run(star)
-        broadcast = InferTurbo(model, InferenceConfig(
+            strategies=StrategyConfig(partial_gather=False))).infer(star)
+        broadcast = InferenceSession(model, InferenceConfig(
             backend="pregel", num_workers=4,
             strategies=StrategyConfig(partial_gather=False, broadcast=True,
-                                      hub_threshold_override=10))).run(star)
+                                      hub_threshold_override=10))).infer(star)
         hub_worker = 0  # node 0 lives on partition 0 with mod-hash partitioning
         assert (broadcast.metrics.per_instance("bytes_out")[hub_worker]
                 < base.metrics.per_instance("bytes_out")[hub_worker])

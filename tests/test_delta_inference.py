@@ -100,17 +100,6 @@ class TestStaleness:
         graph.node_features[5] = saved
         np.testing.assert_array_equal(session.infer().scores, base)
 
-    def test_staleness_check_can_be_disabled(self):
-        graph = make_graph(seed=4)
-        model = build_model("gcn", graph.feature_dim, 16, 4, num_layers=2, seed=0)
-        config = make_config()
-        config.staleness_check = False
-        session = InferenceSession(model, config)
-        session.prepare(graph)
-        session.infer()
-        graph.node_features[0, 0] += 1.0
-        session.infer()     # explicitly opted out of the contract
-
     def test_apply_delta_on_stale_graph_raises(self):
         # apply_delta must not launder an out-of-band mutation into a fresh
         # fingerprint: the patch would cover only the delta's rows while the
@@ -125,20 +114,52 @@ class TestStaleness:
         with pytest.raises(StalePlanError):
             session.apply_delta(delta)
 
-    def test_apply_delta_checks_staleness_even_when_disabled(self):
-        # staleness_check=False only buys back the per-infer() CRC pass;
-        # apply_delta must still refuse to absorb a foreign mutation.
+    @pytest.mark.parametrize("backend", ["mapreduce", "khop"])
+    def test_apply_delta_on_stale_graph_raises_off_pregel(self, backend):
         graph = make_graph(seed=8)
-        model = build_model("gcn", graph.feature_dim, 16, 4, num_layers=2, seed=0)
-        config = make_config()
-        config.staleness_check = False
-        session = InferenceSession(model, config)
+        session = make_session(graph, backend=backend)
         session.prepare(graph)
         session.infer()
         graph.node_features[7] += 5.0     # out of band
         with pytest.raises(StalePlanError):
             session.apply_delta(GraphDelta(node_ids=np.array([3]),
                                            node_features=np.ones((1, graph.feature_dim))))
+
+    def test_refused_delta_applies_after_restore(self):
+        # A refused apply_delta leaves the plan untouched: once the foreign
+        # mutation is undone, the same delta patches in and serves current.
+        rng = np.random.default_rng(9)
+        graph = make_graph(seed=9)
+        session = make_session(graph)
+        session.prepare(graph)
+        session.infer()
+        saved = graph.node_features[7].copy()
+        graph.node_features[7] += 5.0     # out of band
+        delta = random_feature_delta(rng, graph)
+        with pytest.raises(StalePlanError):
+            session.apply_delta(delta)
+        graph.node_features[7] = saved
+        session.apply_delta(delta)
+        reference = make_graph(seed=9)
+        reference.node_features[delta.node_ids] = delta.node_features
+        np.testing.assert_array_equal(session.infer(mode="incremental").scores,
+                                      fresh_scores(reference))
+
+    def test_infer_many_checks_staleness_per_batch(self):
+        graph = make_graph(seed=10)
+        session = make_session(graph)
+        session.prepare(graph)
+        base = session.infer().scores
+        graph.node_features[2, 0] += 1.0    # out of band
+        with pytest.raises(StalePlanError):
+            session.infer_many(2)
+        graph.node_features[2, 0] -= 1.0
+        for result in session.infer_many(2):
+            np.testing.assert_array_equal(result.scores, base)
+        # The batch's single check does not outlive the batch.
+        graph.node_features[4, 1] += 1.0
+        with pytest.raises(StalePlanError):
+            session.infer()
 
     def test_fingerprint_tracks_content(self):
         graph = make_graph(seed=5)
@@ -220,22 +241,6 @@ class TestIncrementalFeatureDelta:
         session.apply_delta(delta)
         scores = session.infer(mode="incremental").scores
         reference = make_graph(seed=17)
-        reference.node_features[delta.node_ids] = delta.node_features
-        np.testing.assert_array_equal(scores, fresh_scores(reference))
-
-    def test_incremental_without_state_cache_falls_back(self):
-        rng = np.random.default_rng(19)
-        graph = make_graph(seed=19)
-        model = build_model("gcn", graph.feature_dim, 16, 4, num_layers=2, seed=0)
-        config = make_config()
-        config.incremental_state_cache = False
-        session = InferenceSession(model, config)
-        session.prepare(graph)
-        session.infer()
-        delta = random_feature_delta(rng, graph)
-        session.apply_delta(delta)
-        scores = session.infer(mode="incremental").scores
-        reference = make_graph(seed=19)
         reference.node_features[delta.node_ids] = delta.node_features
         np.testing.assert_array_equal(scores, fresh_scores(reference))
 

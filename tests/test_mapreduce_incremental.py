@@ -25,6 +25,7 @@ from repro.inference import (
     GraphDelta,
     InferenceConfig,
     InferenceSession,
+    StalePlanError,
     StrategyConfig,
 )
 
@@ -154,22 +155,16 @@ class TestIncrementalReplay:
         reference.node_features[delta.node_ids] = delta.node_features
         np.testing.assert_array_equal(scores, fresh_scores(reference))
 
-    def test_incremental_disabled_cache_falls_back(self):
+    def test_incremental_on_stale_graph_raises(self):
+        # The replay splices into cached scores, so it must refuse a graph
+        # mutated behind the session's back just as a full run does.
         rng = np.random.default_rng(21)
         graph = make_graph(21)
-        config = make_config()
-        config.incremental_state_cache = False
-        session = InferenceSession(build_model("gcn", 8, 16, 4, num_layers=2, seed=0),
-                                   config)
-        session.prepare(graph)
-        session.infer()
-        delta = feature_delta(rng, graph.num_nodes)
-        session.apply_delta(delta)
-        scores = session.infer(mode="incremental").scores
-        assert "scores" not in session.plan.state
-        reference = make_graph(21)
-        reference.node_features[delta.node_ids] = delta.node_features
-        np.testing.assert_array_equal(scores, fresh_scores(reference))
+        session = warmed_session(graph)
+        session.apply_delta(feature_delta(rng, graph.num_nodes))
+        graph.node_features[5, 0] += 1.0    # out of band
+        with pytest.raises(StalePlanError):
+            session.infer(mode="incremental")
 
 
 class TestRecordPatching:

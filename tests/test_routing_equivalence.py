@@ -22,7 +22,7 @@ from repro.inference.shadow import apply_shadow_nodes
 from repro.inference.strategies import BroadcastMessageBlock
 from repro.pregel.combiners import SumCombiner
 from repro.pregel.engine import PregelEngine, _route_outgoing
-from repro.pregel.vertex import MessageBlock, PartitionContext
+from repro.pregel.vertex import MessageBlock
 
 SEEDS = [0, 1, 2]
 NUM_WORKERS = 4
@@ -111,13 +111,9 @@ def edge_blocks(graph, rng, chunks: int = 3) -> List[MessageBlock]:
 
 def _route_via_engine(engine: PregelEngine, blocks: List[MessageBlock],
                       combiner=None) -> List[List[MessageBlock]]:
-    context = PartitionContext(engine.partitions[0], superstep=0, aggregated={},
-                               num_graph_vertices=engine.graph.num_nodes)
-    for block in blocks:
-        context.send_block(block)
     # The engine-hosted routing pass the partition harness runs per superstep
-    # (the effective combiner is resolved by the harness before this call).
-    return _route_outgoing(context, engine.layout, engine.num_workers, combiner)
+    # (the program's combiner is resolved by the harness before this call).
+    return _route_outgoing(blocks, engine.layout, engine.num_workers, combiner)
 
 
 class TestRouteEquivalence:
@@ -249,24 +245,21 @@ class TestLocalIndices:
         foreign = int(engine.partitions[1].node_ids[0])
         with pytest.raises(ValueError, match=rf"partition 0 does not own vertex {foreign}"):
             partition.local_indices(np.array([int(partition.node_ids[0]), foreign]))
-        with pytest.raises(ValueError, match="partition 0 does not own vertex"):
-            partition.local_index(foreign)
+        with pytest.raises(ValueError, match=rf"partition 0 does not own vertex {foreign}"):
+            partition.local_indices(np.array([foreign]))
 
     def test_out_of_range_vertex_raises_value_error(self, small_graph):
         engine = PregelEngine(small_graph, num_workers=NUM_WORKERS)
         partition = engine.partitions[0]
-        with pytest.raises(ValueError, match="does not own vertex"):
-            partition.local_indices(np.array([small_graph.num_nodes + 5]))
-        assert not partition.owns(-1)
-        assert not partition.owns(small_graph.num_nodes + 5)
+        for bad in (-1, small_graph.num_nodes + 5):
+            with pytest.raises(ValueError, match=rf"does not own vertex {bad}$"):
+                partition.local_indices(np.array([bad]))
 
     @pytest.mark.parametrize("bad_dst", [-1, 10**6])
-    def test_vertex_message_to_unknown_vertex_raises(self, small_graph, bad_dst):
-        """The legacy per-vertex path reports unroutable destinations clearly
-        instead of crashing with a bare IndexError (or wrapping negatives)."""
+    def test_block_to_unknown_vertex_raises(self, small_graph, bad_dst):
+        """Routing reports an unroutable destination clearly instead of
+        crashing with a bare IndexError (or wrapping a negative id)."""
         engine = PregelEngine(small_graph, num_workers=NUM_WORKERS)
-        context = PartitionContext(engine.partitions[0], superstep=0, aggregated={},
-                                   num_graph_vertices=small_graph.num_nodes)
-        context.send_message(bad_dst, 1.0)
-        with pytest.raises(ValueError, match=f"unknown vertex {bad_dst}"):
-            _route_outgoing(context, engine.layout, engine.num_workers, None)
+        block = MessageBlock(dst_ids=np.array([0, bad_dst]), payload=np.ones((2, 1)))
+        with pytest.raises(ValueError, match=rf"global id {bad_dst} is outside"):
+            _route_via_engine(engine, [block])

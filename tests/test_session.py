@@ -1,5 +1,5 @@
-"""InferenceSession: plan-once/infer-many semantics, bit-identical parity with
-the deprecated InferTurbo shim, structured reports, and the hub-mirror merge."""
+"""InferenceSession: plan-once/infer-many semantics, structured reports, and
+the hub-mirror merge."""
 
 from __future__ import annotations
 
@@ -10,12 +10,7 @@ from repro.gnn.model import build_model
 from repro.gnn.signature import export_signature
 from repro.graph.generators import labeled_community_graph, powerlaw_graph
 from repro.graph.tables import graph_to_tables
-from repro.inference import (
-    InferenceConfig,
-    InferenceSession,
-    InferTurbo,
-    StrategyConfig,
-)
+from repro.inference import InferenceConfig, InferenceSession, StrategyConfig
 from repro.inference.backends import merge_hub_mirrors, plan_gas_execution
 from repro.inference.shadow import ShadowNodePlan, apply_shadow_nodes
 from repro.inference.strategies import build_strategy_plan
@@ -195,26 +190,27 @@ class TestReport:
         assert "measured" in report.describe()
 
 
-class TestShimParity:
+class TestOneShotParity:
     @pytest.mark.parametrize("backend", ["pregel", "mapreduce"])
-    def test_session_bit_identical_to_inferturbo(self, skewed, backend):
+    def test_fresh_session_per_run_matches_reused_session(self, skewed, backend):
         model = build_model("sage", skewed.feature_dim, 16, 3, num_layers=2, seed=2)
         config = dict(backend=backend, num_workers=4, strategies=ALL_ON)
-        session = InferenceSession(model, InferenceConfig(**config))
-        via_session = session.infer(skewed)
-        with pytest.deprecated_call():
-            shim = InferTurbo(model, InferenceConfig(**config))
-        via_shim = shim.run(skewed)
-        np.testing.assert_array_equal(via_session.scores, via_shim.scores)
+        reused = InferenceSession(model, InferenceConfig(**config))
+        reused.prepare(skewed)
+        for _ in range(2):
+            # One-shot: a fresh session plans from the tables on every run.
+            one_shot = InferenceSession(model, InferenceConfig(**config))
+            one_shot.prepare(graph_to_tables(skewed))
+            np.testing.assert_array_equal(one_shot.infer().scores,
+                                          reused.infer().scores)
 
-    def test_shim_exposes_model_and_config(self, community):
+    def test_session_exposes_model_and_config(self, community):
         model = build_model("sage", community.feature_dim, 8, 4, seed=0)
         config = InferenceConfig(num_workers=2)
-        with pytest.deprecated_call():
-            shim = InferTurbo(model, config)
-        assert shim.model is model
-        assert shim.config is config
-        assert isinstance(shim.session, InferenceSession)
+        session = InferenceSession(model, config)
+        assert session.model is model
+        assert session.config is config
+        assert isinstance(InferenceSession(model).config, InferenceConfig)
 
 
 class TestHubMirrorMerge:
