@@ -195,26 +195,60 @@ class DeterminismRule:
     consults ``time.time()``, an unseeded global RNG, or iterates a hash-set
     while accumulating.  ``time.perf_counter()`` is permitted only where its
     value is *assigned* (metrics timing), never where it feeds computation.
+
+    Incremental inference recomputes frontier rows only and is bit-identical
+    to a full run because the tensor layer's 2-D ``@`` is row-stable (fixed
+    row tiles).  In the GNN and inference layers every dense product must
+    therefore go through it (``Linear``): a raw ``@``, ``np.matmul``,
+    ``np.dot`` or ``np.einsum`` there is flagged.
     """
 
     name = "determinism"
     COMPUTE_DIRS = {"pregel", "batch", "tensor", "gnn"}
+    PRODUCT_DIRS = {"gnn", "inference"}
+    PRODUCT_CALLS = {"matmul", "dot", "einsum"}
     #: np.random functions that produce *seeded* generators when given args.
     SEEDABLE = {"default_rng", "Generator", "SeedSequence", "RandomState"}
 
     def applies_to(self, path: str) -> bool:
-        return bool(self.COMPUTE_DIRS & set(path_components(path)[:-1]))
+        dirs = set(path_components(path)[:-1])
+        return bool((self.COMPUTE_DIRS | self.PRODUCT_DIRS) & dirs)
 
     def check(self, module: ModuleSource) -> Iterator[Finding]:
-        if not self.applies_to(module.path):
+        dirs = set(path_components(module.path)[:-1])
+        compute = bool(self.COMPUTE_DIRS & dirs)
+        products = bool(self.PRODUCT_DIRS & dirs)
+        if not (compute or products):
             return
         parents = {id(child): parent for parent in ast.walk(module.tree)
                    for child in ast.iter_child_nodes(parent)}
         for node in ast.walk(module.tree):
+            if products:
+                yield from self._check_product(module, node)
+            if not compute:
+                continue
             if isinstance(node, ast.Call):
                 yield from self._check_call(module, node, parents)
             elif isinstance(node, (ast.For, ast.AsyncFor)):
                 yield from self._check_loop(module, node)
+
+    def _check_product(self, module: ModuleSource,
+                       node: ast.AST) -> Iterator[Finding]:
+        if (isinstance(node, (ast.BinOp, ast.AugAssign))
+                and isinstance(node.op, ast.MatMult)):
+            product = "`@`"
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr in self.PRODUCT_CALLS
+              and isinstance(node.func.value, ast.Name)
+              and node.func.value.id in {"np", "numpy"}):
+            product = f"np.{node.func.attr}()"
+        else:
+            return
+        yield module.finding(
+            node, self.name,
+            f"raw {product} is not row-stable; project through "
+            f"repro.tensor.nn.Linear (the tensor layer's tiled kernel) so "
+            f"frontier-row recomputes stay bit-identical")
 
     def _check_call(self, module: ModuleSource, node: ast.Call,
                     parents: Dict[int, ast.AST]) -> Iterator[Finding]:

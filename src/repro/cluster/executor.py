@@ -109,7 +109,34 @@ class SharedArraySpec:
     dtype: str
 
 
-def _attach_segment_untracked(name: str) -> shared_memory.SharedMemory:
+class _Segment(shared_memory.SharedMemory):
+    """A shared-memory segment that stays mapped while any view of it lives.
+
+    ``SharedMemory.close()`` unmaps even while arrays built with
+    ``np.ndarray(buffer=segment.buf)`` still point into the mapping (numpy
+    keeps no buffer export on it), and reading such an array afterwards
+    segfaults.  Arrays from :meth:`view` hold an export, so closing a segment
+    under a live view only releases its descriptor; the mapping goes with
+    the last view.
+    """
+
+    def view(self, shape: Tuple[int, ...], dtype: np.dtype) -> np.ndarray:
+        count = int(np.prod(shape, dtype=np.int64))
+        return np.frombuffer(self.buf, dtype=dtype, count=count).reshape(shape)
+
+    def close(self) -> None:
+        try:
+            super().close()
+        except BufferError:
+            # Live views keep the mapping; the descriptor is not needed for
+            # that (typeshed does not declare ``_fd``, hence getattr).
+            fd = getattr(self, "_fd", -1)
+            if fd >= 0:
+                os.close(fd)
+                setattr(self, "_fd", -1)
+
+
+def _attach_segment_untracked(name: str) -> _Segment:
     """Attach to a segment without registering it with the resource tracker.
 
     Attaching workers must not *own* the segment: Python < 3.13 registers
@@ -131,11 +158,11 @@ def _attach_segment_untracked(name: str) -> shared_memory.SharedMemory:
 
         resource_tracker.register = _skip_shared_memory
         try:
-            return shared_memory.SharedMemory(name=name)
+            return _Segment(name=name)
         finally:
             resource_tracker.register = original_register
     except AttributeError:
-        return shared_memory.SharedMemory(name=name)
+        return _Segment(name=name)
 
 
 class SharedArrayPack:
@@ -149,10 +176,12 @@ class SharedArrayPack:
     re-shipping.  Re-sharing the *same* array object under the same key is a
     no-op returning the cached spec; sharing a different object (the engine
     swapped the array wholesale, e.g. an edge delta) replaces the segment.
+    A view keeps its segment mapped, so arrays handed out (say, in a
+    ``PregelResult``) stay readable after the pack is closed or collected.
     """
 
     def __init__(self) -> None:
-        self._segments: Dict[str, shared_memory.SharedMemory] = {}
+        self._segments: Dict[str, _Segment] = {}
         self._arrays: Dict[str, np.ndarray] = {}
         self._specs: Dict[str, SharedArraySpec] = {}
         self._finalizer = weakref.finalize(self, _unlink_segments,
@@ -172,8 +201,8 @@ class SharedArrayPack:
             self._arrays[key] = array
             self._specs[key] = spec
             return spec
-        segment = shared_memory.SharedMemory(create=True, size=array.nbytes)
-        view = np.ndarray(array.shape, dtype=array.dtype, buffer=segment.buf)
+        segment = _Segment(create=True, size=array.nbytes)
+        view = segment.view(array.shape, array.dtype)
         view[...] = array
         self._segments[key] = segment
         self._arrays[key] = view
@@ -195,7 +224,7 @@ class SharedArrayPack:
         return self._arrays.get(key) is array
 
     def close(self) -> None:
-        """Unlink every segment (views become invalid)."""
+        """Unlink every segment (live views keep their mapping until collected)."""
         self._finalizer()
         self._segments = {}
         self._arrays = {}
@@ -203,10 +232,9 @@ class SharedArrayPack:
         self._finalizer = weakref.finalize(self, _unlink_segments, self._segments)
 
 
-def _unlink_segments(segments: Dict[str, shared_memory.SharedMemory]) -> None:
-    # Unlink before close: unlinking works regardless of live mappings, while
-    # closing raises BufferError while numpy views still reference the buffer
-    # (those views keep their mapping alive until they are garbage collected).
+def _unlink_segments(segments: Dict[str, _Segment]) -> None:
+    # Unlink before close: unlinking works regardless of live mappings, and
+    # closing leaves a segment that live views still export mapped.
     for segment in segments.values():
         try:
             segment.unlink()
@@ -214,13 +242,13 @@ def _unlink_segments(segments: Dict[str, shared_memory.SharedMemory]) -> None:
             pass
         try:
             segment.close()
-        except Exception:  # pragma: no cover - views may still be exported
+        except Exception:  # pragma: no cover - cleanup best effort
             pass
 
 
 #: worker-side segment cache so repeated attaches reuse one mapping and the
 #: buffers outlive the numpy views built on them.
-_ATTACHED_SEGMENTS: Dict[str, shared_memory.SharedMemory] = {}
+_ATTACHED_SEGMENTS: Dict[str, _Segment] = {}
 
 
 def attach_shared_array(spec: SharedArraySpec) -> np.ndarray:
@@ -231,7 +259,7 @@ def attach_shared_array(spec: SharedArraySpec) -> np.ndarray:
     if segment is None:
         segment = _attach_segment_untracked(spec.name)
         _ATTACHED_SEGMENTS[spec.name] = segment
-    return np.ndarray(spec.shape, dtype=np.dtype(spec.dtype), buffer=segment.buf)
+    return segment.view(spec.shape, np.dtype(spec.dtype))
 
 
 def prune_attached_segments(live_names: Iterable[str]) -> None:
@@ -242,18 +270,14 @@ def prune_attached_segments(live_names: Iterable[str]) -> None:
     unlinked shm pages stay allocated until the *last mapping* closes, and a
     long-lived worker would otherwise keep every superseded mapping forever.
     Harness factories call this with the names their open payload references;
-    anything else in the cache is stale and gets closed (best effort — a
-    mapping still referenced by a live numpy view survives until that view is
-    garbage collected).
+    anything else in the cache is stale and gets closed (a mapping still
+    referenced by a live numpy view survives until that view is garbage
+    collected).
     """
     keep = {name for name in live_names if name is not None}
     for name in list(_ATTACHED_SEGMENTS):
         if name not in keep:
-            segment = _ATTACHED_SEGMENTS.pop(name)
-            try:
-                segment.close()
-            except Exception:  # pragma: no cover - exported views keep it alive
-                pass
+            _ATTACHED_SEGMENTS.pop(name).close()
 
 
 # --------------------------------------------------------------------------- #

@@ -74,19 +74,6 @@ class GASConv(Module):
         annotation = stage_annotation(type(self).gather)
         return bool(annotation is not None and annotation.partial)
 
-    def apply_edge_is_identity(self, has_edge_features: bool) -> bool:
-        """Whether ``apply_edge`` returns its input rows unchanged.
-
-        When True, a per-edge message is literally the source node's state
-        row, so incremental inference may materialise any *subset* of edge
-        messages by a plain row gather — exactly the bytes a full run would
-        produce.  Layers that transform messages (projections, attention
-        logits) must return False; the incremental scatter then computes
-        ``apply_edge`` at full edge-table shape before slicing, because BLAS
-        kernels are not bit-stable across differing matrix shapes.
-        """
-        return False
-
     def config(self) -> Dict[str, Any]:
         """Constructor arguments needed to rebuild this layer (for signatures)."""
         return {"in_dim": self.in_dim, "out_dim": self.out_dim}

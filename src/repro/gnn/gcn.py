@@ -40,10 +40,6 @@ class GCNConv(GASConv):
     def message_dim(self) -> int:
         return self.in_dim
 
-    def apply_edge_is_identity(self, has_edge_features: bool) -> bool:
-        # Messages are raw previous-layer states unless edge features feed in.
-        return self.edge_linear is None or not has_edge_features
-
     def config(self):
         return {
             "in_dim": self.in_dim,

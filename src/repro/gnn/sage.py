@@ -64,10 +64,6 @@ class SAGEConv(GASConv):
         # Messages carry the (possibly edge-augmented) previous-layer state.
         return self.in_dim
 
-    def apply_edge_is_identity(self, has_edge_features: bool) -> bool:
-        # Messages are raw previous-layer states unless edge features feed in.
-        return self.edge_linear is None or not has_edge_features
-
     def config(self):
         return {
             "in_dim": self.in_dim,

@@ -80,10 +80,10 @@ class PregelBackend:
         grouped scatter.  Edge deltas are applied in place only when that is
         provably bit-stable: the hub set and every hub's mirror-group count
         must survive the threshold re-check
-        (:func:`~repro.inference.backends.base.check_edge_delta_stability`),
-        and every layer's ``apply_edge`` must be the identity (a projecting
-        apply_edge runs at edge-table shape, which the delta changes).  Under
-        shadow nodes the position-stable mirror assignment
+        (:func:`~repro.inference.backends.base.check_edge_delta_stability`).
+        Any layer qualifies, projecting ``apply_edge`` included: dense
+        products are row-stable, so a changed edge count moves no message's
+        bits.  Under shadow nodes the position-stable mirror assignment
         (:meth:`~repro.inference.shadow.ShadowNodePlan.patch_edge_delta`)
         splices the delta into the expanded working graph exactly as a fresh
         rewrite would place it.  Anything else returns ``in_place=False``
@@ -91,28 +91,16 @@ class PregelBackend:
         from it.
         """
         graph = plan.graph
-        has_edge_features = graph.edge_features is not None
-
-        in_place, reason = True, ""
-        if delta.has_edge_changes:
-            if any(not layer.apply_edge_is_identity(has_edge_features)
-                   for layer in plan.model.layers):
-                in_place, reason = False, ("edge-count changes are not bit-stable "
-                                           "for projecting apply_edge layers")
-
         # Land the delta on the base graph first — validation happens here,
         # and even an invalidating delta must reach the graph so the session
         # can re-prepare from the updated state.
         topo_dirty = apply_delta_to_graph(graph, delta)
 
-        if in_place and delta.has_edge_changes:
+        if delta.has_edge_changes:
             stable, why, new_threshold = check_edge_delta_stability(plan)
-            if stable:
-                plan.strategy_plan.threshold = new_threshold
-            else:
-                in_place, reason = False, why
-        if not in_place:
-            return DeltaOutcome(in_place=False, reason=reason)
+            if not stable:
+                return DeltaOutcome(in_place=False, reason=why)
+            plan.strategy_plan.threshold = new_threshold
 
         engine = plan.state.get("engine")
         feature_dirty = _EMPTY

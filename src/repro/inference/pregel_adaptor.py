@@ -22,19 +22,17 @@ A session that applied a :class:`~repro.inference.delta.GraphDelta` in place
 can rerun just the delta's reach: full runs cache every superstep's state
 per partition (``h_history``); an incremental run walks a per-superstep dirty
 frontier (:func:`~repro.inference.delta.expand_frontier`), sends only messages
-bound for next-frontier destinations, recomputes only frontier rows, and
-splices them into the cached states.  Bit-identity with a fresh full run is
-preserved by two rules:
+bound for next-frontier destinations, runs every stage on frontier rows (and
+the selected edge rows) only, and splices the results into the cached states.
+Bit-identity with a fresh full run is preserved by two rules:
 
 * per-destination message *sets and order* are unchanged — filtering keeps
   all of a frontier destination's rows and drops whole destinations, so the
   order-sensitive segment reductions accumulate identical bits;
-* matmul stages (``encode`` / ``apply_edge`` with projections /
-  ``apply_node`` / ``predict``) always run at full matrix shape before rows
-  are sliced — BLAS kernels are not bit-stable across differing shapes, so
-  subset-shaped matmuls would drift in the last ulp.  Layers whose
-  ``apply_edge`` is the identity skip the full-shape pass entirely (a row
-  gather is exact at any shape), which is the common GCN/SAGE serving case.
+* dense products are row-stable — :class:`~repro.tensor.tensor.Tensor` runs
+  every 2-D ``@`` in fixed-shape row tiles, so ``encode`` / ``apply_edge`` /
+  ``apply_node`` / ``predict`` over a row subset give exactly the rows a
+  full-shape pass would.
 """
 
 from __future__ import annotations
@@ -167,38 +165,33 @@ class GNNInferenceProgram(BlockVertexProgram):
                           state: np.ndarray, superstep: int) -> None:
         """Build and send this superstep's out-edge messages.
 
-        An incremental run restricts the scatter to the precomputed out-edge
-        rows bound for next-frontier destinations.  The restriction is
-        all-or-nothing per destination, so every surviving destination still
-        receives its complete in-message set in the full run's order.
+        An incremental run restricts the scatter — ``apply_edge`` included —
+        to the precomputed out-edge rows bound for next-frontier destinations.
+        The restriction is all-or-nothing per destination, so every surviving
+        destination still receives its complete in-message set in the full
+        run's order.
         """
         if partition.num_out_edges == 0:
             return
         next_layer = self.model.layers[superstep]
         layer_strategy = self.plan.layer(superstep)
-        src_local = partition.block_state["out_src_local"]
+        src_rows = partition.block_state["out_src_local"]
         edge_features = partition.out_edge_features
-        edge_tensor = None if edge_features is None else Tensor(edge_features)
+        dst_ids = partition.out_dst
+        source_ids = partition.out_src
 
         if self.incremental:
             edge_rows = self.edge_rows.get((partition.partition_id, superstep),
                                            _EMPTY_ROWS)
             if edge_rows.size == 0:
                 return
-            if next_layer.apply_edge_is_identity(edge_tensor is not None):
-                # Identity messages: a row gather is exact at any subset size.
-                messages = state[src_local[edge_rows]]
-            else:
-                # Projecting layers run apply_edge at full edge-table shape
-                # and slice after — subset-shaped matmuls are not bit-stable.
-                messages = next_layer.apply_edge(
-                    Tensor(state[src_local]), edge_tensor).data[edge_rows]
-            dst_ids = partition.out_dst[edge_rows]
-            source_ids = partition.out_src[edge_rows]
-        else:
-            messages = next_layer.apply_edge(Tensor(state[src_local]), edge_tensor).data
-            dst_ids = partition.out_dst
-            source_ids = partition.out_src
+            src_rows = src_rows[edge_rows]
+            dst_ids = dst_ids[edge_rows]
+            source_ids = source_ids[edge_rows]
+            if edge_features is not None:
+                edge_features = edge_features[edge_rows]
+        edge_tensor = None if edge_features is None else Tensor(edge_features)
+        messages = next_layer.apply_edge(Tensor(state[src_rows]), edge_tensor).data
         counts = np.ones(dst_ids.shape[0], dtype=np.int64)
 
         # apply_edge cost: one pass over every outgoing message element (the
@@ -274,18 +267,19 @@ class GNNInferenceProgram(BlockVertexProgram):
                                    superstep: int) -> np.ndarray:
         """Recompute only the frontier rows; splice them into the cached state.
 
-        All matmul stages run at full matrix shape (their recomputed rows are
-        then bit-identical to a fresh full run's), while the incoming message
-        set — and therefore every segment reduction — is already restricted
-        to frontier destinations by the senders.  Rows outside the frontier
-        keep the cached bits, which a fresh run would reproduce exactly.
+        The senders already restricted the incoming messages to frontier
+        destinations, so gather indexes them by their position in ``rows``
+        and ``encode``/``apply_node`` run on the frontier rows alone; the
+        dense products are row-stable, so each recomputed row is
+        bit-identical to a fresh full run's.  Rows outside the frontier keep
+        the cached bits, which a fresh run would reproduce exactly.
         """
         rows = context.frontier_rows if context.frontier_rows is not None else _EMPTY_ROWS
         history = partition.block_state["h_history"]
         if rows.size == 0 or not partition.num_nodes:
             return history[superstep]
         if superstep == 0:
-            full = self.model.encode(Tensor(partition.node_features)).data
+            fresh = self.model.encode(Tensor(partition.node_features[rows])).data
             context.add_compute(rows.size * self.model.encoder.in_features
                                 * self.model.encoder.out_features)
         else:
@@ -293,17 +287,16 @@ class GNNInferenceProgram(BlockVertexProgram):
             local_dst, payload, counts = self._assemble_messages(partition, incoming)
             if payload.shape[1] == 0:
                 payload = np.zeros((0, layer.message_dim))
-            aggr = layer.gather(Tensor(payload), local_dst, partition.num_nodes, counts)
-            full = layer.apply_node(Tensor(partition.block_state["h"]), aggr).data
-            # Modeled cost: what a production kernel recomputing just the
-            # frontier would pay (the full-shape pass is a bit-exactness
-            # artefact of simulating on BLAS).
+            position = np.empty(partition.num_nodes, dtype=np.int64)
+            position[rows] = np.arange(rows.size)
+            aggr = layer.gather(Tensor(payload), position[local_dst], rows.size, counts)
+            fresh = layer.apply_node(Tensor(partition.block_state["h"][rows]), aggr).data
             context.add_compute(gnn_layer_compute_units(
                 num_messages=payload.shape[0], message_dim=layer.message_dim,
                 num_nodes=rows.size, in_dim=layer.in_dim,
                 out_dim=getattr(layer, "output_dim", layer.out_dim)))
         state = history[superstep].copy()
-        state[rows] = full[rows]
+        state[rows] = fresh
         return state
 
     def compute_partition(self, context: PartitionContext,
@@ -328,9 +321,8 @@ class GNNInferenceProgram(BlockVertexProgram):
                 rows = (context.frontier_rows
                         if context.frontier_rows is not None else _EMPTY_ROWS)
                 if rows.size and partition.num_nodes:
-                    logits = self.model.predict(Tensor(state)).data
                     output = partition.block_state["output"].copy()
-                    output[rows] = logits[rows]
+                    output[rows] = self.model.predict(Tensor(state[rows])).data
                     partition.block_state["output"] = output
                     context.add_compute(rows.size * state.shape[1]
                                         * max(output.shape[1], 1))
@@ -476,19 +468,15 @@ def run_pregel_inference_incremental(
 
     # Out-edge rows each partition must still scatter at superstep s: every
     # edge bound for a superstep-(s+1) frontier destination.  Frontiers are
-    # replica-closed, so testing the pre-expansion destination id suffices;
-    # they are also sorted unique, so membership is one searchsorted pass.
+    # replica-closed, so testing the pre-expansion destination id against a
+    # mask of the next frontier suffices.
     edge_rows: Dict[Tuple[int, int], np.ndarray] = {}
-    for partition in engine.partitions:
-        for superstep in range(model.num_layers):
-            nxt = frontiers[superstep + 1]
-            if nxt.size and partition.out_dst.size:
-                pos = np.minimum(np.searchsorted(nxt, partition.out_dst),
-                                 nxt.size - 1)
-                rows = np.nonzero(nxt[pos] == partition.out_dst)[0]
-            else:
-                rows = _EMPTY_ROWS
-            edge_rows[(partition.partition_id, superstep)] = rows
+    for superstep in range(model.num_layers):
+        in_next = np.zeros(working_graph.num_nodes, dtype=bool)
+        in_next[frontiers[superstep + 1]] = True
+        for partition in engine.partitions:
+            edge_rows[(partition.partition_id, superstep)] = np.flatnonzero(
+                in_next[partition.out_dst])
 
     program = GNNInferenceProgram(model, plan, shadow_plan, incremental=True,
                                   edge_rows=edge_rows,

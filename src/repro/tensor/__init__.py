@@ -5,8 +5,9 @@ the small slice of a deep-learning framework that GNN training and inference
 actually need:
 
 * :class:`~repro.tensor.tensor.Tensor` — a dense array with reverse-mode
-  automatic differentiation.
-* :mod:`~repro.tensor.ops` — dense math (matmul, elementwise, reductions) and
+  automatic differentiation; its 2-D ``@`` is row-stable (fixed-shape
+  tiles), so any row subset of a product is bit-identical to the full one.
+* :mod:`~repro.tensor.ops` — dense math (elementwise, reductions) and
   the *segment* operations (``segment_sum`` / ``segment_mean`` / ``segment_max``
   and ``segment_softmax``) that message-passing GNNs are built from.
 * :mod:`~repro.tensor.nn` — ``Module`` / ``Parameter`` / ``Linear`` and friends.

@@ -25,11 +25,6 @@ def _as_index(index) -> np.ndarray:
     return np.asarray(index, dtype=np.int64)
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix multiply two tensors."""
-    return a @ b
-
-
 def relu(x: Tensor) -> Tensor:
     return x.relu()
 

@@ -71,6 +71,33 @@ def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
     return grad.reshape(shape)
 
 
+#: Rows per dense-product tile.  BLAS kernels are not bit-stable across
+#: matrix shapes, so every 2-D product runs as fixed-shape
+#: ``(_TILE_ROWS, K) @ (K, N)`` calls, the last tile zero-padded: a row's bits
+#: then never depend on which other rows share its product, and any row
+#: subset reproduces the full product's rows exactly.
+_TILE_ROWS = 256
+
+
+def _tiled_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-stable ``a @ b`` for 2-D operands (plain ``@`` otherwise)."""
+    if a.ndim != 2 or b.ndim != 2 or a.shape[0] == 0:
+        return a @ b
+    a = np.ascontiguousarray(a)
+    rows, inner = a.shape
+    full = rows - rows % _TILE_ROWS
+    out = np.empty((rows, b.shape[1]), dtype=np.result_type(a, b))
+    if full:
+        # One stacked call runs the same per-tile kernel as a loop would.
+        np.matmul(a[:full].reshape(-1, _TILE_ROWS, inner), b,
+                  out=out[:full].reshape(-1, _TILE_ROWS, b.shape[1]))
+    if full < rows:
+        tail = np.zeros((_TILE_ROWS, inner), dtype=a.dtype)
+        tail[:rows - full] = a[full:]
+        out[full:] = (tail @ b)[:rows - full]
+    return out
+
+
 class Tensor:
     """A dense ndarray with reverse-mode automatic differentiation.
 
@@ -300,7 +327,7 @@ class Tensor:
 
     def __matmul__(self, other: ArrayLike) -> "Tensor":
         other_t = other if isinstance(other, Tensor) else Tensor(_as_array(other))
-        out_data = self.data @ other_t.data
+        out_data = _tiled_matmul(self.data, other_t.data)
 
         def backward_fn(grad: np.ndarray) -> None:
             self._accumulate(_unbroadcast(grad @ other_t.data.T, self.shape))

@@ -94,6 +94,21 @@ def test_determinism_accepts_sanctioned_shapes():
     assert findings_in("determinism/good") == []
 
 
+def test_determinism_flags_raw_dense_products():
+    assert findings_in("dense_products/bad") == [
+        ("determinism", "gnn/layer.py", 7),          # state @ weight
+        ("determinism", "gnn/layer.py", 8),          # out @= weight
+        ("determinism", "gnn/layer.py", 9),          # np.matmul
+        ("determinism", "gnn/layer.py", 10),         # np.dot
+        ("determinism", "gnn/layer.py", 11),         # np.einsum
+        ("determinism", "inference/adaptor.py", 7),  # numpy.dot
+    ]
+
+
+def test_determinism_accepts_tensor_layer_products():
+    assert findings_in("dense_products/good") == []
+
+
 def test_broad_except_flags_unjustified_handlers():
     assert findings_in("broad_except/bad") == [
         ("broad-except", "handlers.py", 7),    # except Exception: pass

@@ -199,12 +199,20 @@ class TestEdgeDeltaContract:
     exact backends, within 1e-9 on mapreduce — on both executors.
     """
 
-    def test_in_place_edge_delta_matches_fresh_replan(self, backend, executor):
+    @pytest.mark.parametrize("kind, edge_dim", [("sage", 0), ("gat", 0),
+                                                ("sage", 3), ("gcn", 3)])
+    def test_in_place_edge_delta_matches_fresh_replan(self, backend, executor,
+                                                      kind, edge_dim):
+        # GAT's apply_edge always projects, SAGE's and GCN's do once edge
+        # features feed in; row-stable products keep them all in place.
         from repro.inference.backends import get_backend
 
         rng = np.random.default_rng(29)
         graph = make_graph(seed=19)
-        model = make_model()
+        if edge_dim:
+            graph.edge_features = rng.standard_normal((graph.num_edges, edge_dim))
+        model = build_model(kind, 8, 16, 3, num_layers=2, edge_dim=edge_dim,
+                            seed=1)
         session = InferenceSession(model, make_config(backend, executor))
         session.prepare(graph)
         has_hook = getattr(get_backend(backend), "apply_delta", None) is not None
@@ -218,12 +226,16 @@ class TestEdgeDeltaContract:
                 added_src=rng.choice(safe_sources, size=20, replace=False),
                 added_dst=rng.integers(0, graph.num_nodes, size=20),
                 removed_edge_ids=rng.choice(removable, size=10, replace=False),
+                added_edge_features=(rng.standard_normal((20, edge_dim))
+                                     if edge_dim else None),
             )
             outcome = session.apply_delta(delta)
             if has_hook:
                 assert outcome.in_place, outcome.reason
             after = session.infer().scores
             incremental = session.infer(mode="incremental").scores
+            if has_hook:
+                assert session.num_replans == 0
 
             fresh = InferenceSession(model, make_config(backend, executor))
             fresh.prepare(graph)        # graph already carries the delta

@@ -218,8 +218,8 @@ class TestIncrementalFeatureDelta:
         np.testing.assert_array_equal(full, fresh_scores(reference))
 
     def test_gat_projecting_apply_edge(self):
-        # GAT's apply_edge projects messages, exercising the full-shape
-        # recompute path instead of the identity row-gather fast path.
+        # GAT's apply_edge projects messages: the incremental scatter runs
+        # that projection on the selected edge rows only.
         rng = np.random.default_rng(13)
         graph = make_graph(seed=13, num_nodes=400)
         session = make_session(graph, kind="gat")
@@ -442,16 +442,51 @@ class TestEdgeDelta:
         np.testing.assert_array_equal(session.infer().scores,
                                       fresh_scores(reference))
 
-    def test_gat_edge_delta_replans(self):
-        # Projecting apply_edge runs at edge-table shape; changing the edge
-        # count must invalidate rather than risk ulp drift.
-        graph = make_graph(seed=37, num_nodes=300)
-        session = make_session(graph, kind="gat", shadow_nodes=False)
+    @pytest.mark.parametrize("kind, edge_dim", [("gat", 0), ("gat", 3),
+                                                ("sage", 3), ("gcn", 3)])
+    def test_projecting_apply_edge_delta_in_place(self, kind, edge_dim):
+        # GAT's apply_edge always projects, SAGE's and GCN's do once edge
+        # features feed in.  Dense products are row-stable, so a changed edge
+        # count moves no message's bits: a hub-preserving edge delta stays in
+        # place and matches a fresh prepare()+infer() exactly.
+        def graph_with_edge_features() -> Graph:
+            graph = make_graph(seed=37)
+            if edge_dim:
+                graph.edge_features = np.random.default_rng(38).standard_normal(
+                    (graph.num_edges, edge_dim))
+            return graph
+
+        rng = np.random.default_rng(37)
+        graph = graph_with_edge_features()
+        model = build_model(kind, graph.feature_dim, 16, 4, num_layers=2,
+                            edge_dim=edge_dim, seed=0)
+        session = InferenceSession(model, make_config())   # shadow nodes on
         session.prepare(graph)
         session.infer()
-        outcome = session.apply_delta(
-            GraphDelta(added_src=np.array([0]), added_dst=np.array([1])))
-        assert not outcome.in_place and "apply_edge" in outcome.reason
+        threshold = session.plan.strategy_plan.threshold
+        degrees = graph.out_degrees()
+        safe_sources = np.nonzero(degrees < threshold - 3)[0]
+        removable = np.nonzero(degrees[graph.src] < threshold - 3)[0]
+        delta = GraphDelta(
+            added_src=rng.choice(safe_sources, size=30, replace=False),
+            added_dst=rng.integers(0, graph.num_nodes, size=30),
+            removed_edge_ids=rng.choice(removable, size=15, replace=False),
+            added_edge_features=(rng.standard_normal((30, edge_dim))
+                                 if edge_dim else None),
+        )
+        reference = graph_with_edge_features()
+        apply_delta_to_graph(reference, delta)
+
+        outcome = session.apply_delta(delta)
+        assert outcome.in_place, outcome.reason
+        incremental = session.infer(mode="incremental").scores
+        full = session.infer().scores
+        assert session.num_replans == 0
+        fresh = InferenceSession(model, make_config())
+        fresh.prepare(reference)
+        expected = fresh.infer().scores
+        np.testing.assert_array_equal(incremental, expected)
+        np.testing.assert_array_equal(full, expected)
 
     def test_new_node_rejected(self):
         graph = make_graph(seed=39)

@@ -13,9 +13,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import gc
 import os
 import signal
+import subprocess
+import sys
+import textwrap
 import time
+from pathlib import Path
 
 from repro.cluster.cost_model import CostModel
 from repro.cluster.executor import (
@@ -243,6 +248,73 @@ class TestSharedArrays:
             assert attached.size == 0 and attached.dtype == np.int64
         finally:
             pack.close()
+
+    def test_close_under_live_views_leaks_no_descriptor(self):
+        # Closing a pack whose views are still referenced keeps the mappings
+        # alive; once the views go, every descriptor must be gone too.
+        fd_dir = Path("/proc/self/fd")
+        if not fd_dir.is_dir():
+            pytest.skip("needs /proc/self/fd")
+
+        def open_segments(names):
+            targets = []
+            for entry in fd_dir.iterdir():
+                try:
+                    targets.append(os.readlink(entry))
+                except OSError:     # the listing's own descriptor
+                    pass
+            return [t for t in targets if any(name in t for name in names)]
+
+        names, views = [], []
+        for _ in range(5):
+            pack = SharedArrayPack()
+            names.append(pack.share("x", np.arange(8.0)).name)
+            views.append(pack.array_for("x"))
+            pack.close()
+            del pack
+        gc.collect()
+        del views       # reading them is the subprocess test's job
+        gc.collect()
+        assert open_segments(names) == []
+
+    def test_views_outlive_their_pack_and_engine(self):
+        # A view must keep its segment mapped: reading a result after its
+        # process-executor engine (and so the pack) was collected used to
+        # segfault, so the check runs in a child and asserts a clean exit.
+        script = textwrap.dedent("""
+            import gc
+            import numpy as np
+            from repro.cluster.executor import SharedArrayPack
+            from repro.pregel.engine import PregelEngine
+            from test_pregel import DegreeCountProgram, ring_graph
+
+            def run():
+                engine = PregelEngine(ring_graph(64), num_workers=2,
+                                      executor="process")
+                return engine.run(DegreeCountProgram())
+
+            result = run()
+            gc.collect()
+            ids = np.sort(np.concatenate([p.node_ids for p in result.partitions]))
+            assert np.array_equal(ids, np.arange(64)), ids
+
+            pack = SharedArrayPack()
+            pack.share("x", np.arange(1000, dtype=np.float64))
+            view = pack.array_for("x")[10:20]
+            pack.close()
+            del pack
+            gc.collect()
+            assert view.sum() == sum(range(10, 20))
+        """)
+        tests_dir = Path(__file__).parent
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(tests_dir.parent / "src"), str(tests_dir)]
+            + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        completed = subprocess.run([sys.executable, "-c", script], env=env,
+                                   capture_output=True, text=True, timeout=120)
+        assert completed.returncode == 0, completed.stderr[-2000:]
+        assert "Exception ignored" not in completed.stderr, completed.stderr
 
 
 class TestCostValidation:

@@ -24,11 +24,7 @@ def ring_graph(num_nodes: int) -> Graph:
 
 
 def gather_values(result, key: str) -> np.ndarray:
-    """Assemble a per-partition ``block_state`` vector into global order.
-
-    The partitions' arrays may be views of the engine's shared memory, so
-    callers keep the engine alive while they read them.
-    """
+    """Assemble a per-partition ``block_state`` vector into global order."""
     num_nodes = sum(partition.num_nodes for partition in result.partitions)
     values = np.zeros(num_nodes)
     for partition in result.partitions:

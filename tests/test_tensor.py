@@ -123,6 +123,49 @@ class TestArithmeticGradients:
         np.testing.assert_allclose((3.0 + a).data, [5.0])
 
 
+class TestRowStableMatmul:
+    """2-D ``@`` runs in fixed-shape row tiles, so rows never drift.
+
+    Incremental inference recomputes only frontier rows and splices them
+    into cached full-run states; that is exact only if a row's product bits
+    do not depend on which other rows share the product.
+    """
+
+    @settings(max_examples=40, deadline=None)
+    @given(rows=st.sampled_from([1, 255, 256, 257, 3000]),
+           inner=st.sampled_from([1, 7, 64]),
+           cols=st.sampled_from([1, 4, 8, 64]),
+           permute=st.booleans(),
+           seed=st.integers(0, 2**31 - 1))
+    def test_row_subsets_bit_identical_to_full_product(self, rows, inner, cols,
+                                                       permute, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((rows, inner))
+        w = Tensor(rng.standard_normal((inner, cols)))
+        full = (Tensor(a) @ w).data
+        np.testing.assert_allclose(full, a @ w.data, rtol=1e-12, atol=1e-12)
+        subset = rng.choice(rows, size=int(rng.integers(1, rows + 1)),
+                            replace=False)
+        if not permute:
+            subset = np.sort(subset)
+        np.testing.assert_array_equal((Tensor(a[subset]) @ w).data, full[subset])
+
+    @settings(max_examples=15, deadline=None)
+    @given(rows=st.sampled_from([1, 255, 257, 600]),
+           cols=st.sampled_from([1, 4, 8]),
+           seed=st.integers(0, 2**31 - 1))
+    def test_gradient_matches_plain_matmul(self, rows, cols, seed):
+        rng = np.random.default_rng(seed)
+        a_val = rng.standard_normal((rows, 16))
+        w_val = rng.standard_normal((16, cols))
+        upstream = rng.standard_normal((rows, cols))
+        a = Tensor(a_val, requires_grad=True)
+        w = Tensor(w_val, requires_grad=True)
+        ((a @ w) * Tensor(upstream)).sum().backward()
+        np.testing.assert_allclose(a.grad, upstream @ w_val.T, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(w.grad, a_val.T @ upstream, rtol=1e-12, atol=1e-12)
+
+
 class TestShapingIndexing:
     def test_reshape_backward(self):
         a = Tensor(np.arange(6.0), requires_grad=True)
